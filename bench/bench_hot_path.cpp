@@ -24,6 +24,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "campaign/fault_plan.h"
@@ -47,6 +48,19 @@ campaign::CampaignOptions StandardWorkload(int runs) {
   options.num_locals = 12;
   options.shrink_failures = false;
   return options;
+}
+
+/// The processor model from /proc/cpuinfo ("unknown" elsewhere), so the
+/// JSON says what hardware its numbers came from.
+std::string CpuModel() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon != std::string::npos) return line.substr(colon + 2);
+  }
+  return "unknown";
 }
 
 }  // namespace
@@ -190,6 +204,9 @@ int main(int argc, char** argv) {
       << ",\n  \"steady_state_heap_allocs_per_run\": " << steady_heap_allocs
       << ",\n  \"steady_state_arena_allocs_per_run\": " << steady_arena_allocs
       << ",\n  \"steady_state_arena_bytes_per_run\": " << steady_arena_bytes
-      << ",\n  \"sweep_fingerprint\": \"" << hex << "\"\n}\n";
+      << ",\n  \"sweep_fingerprint\": \"" << hex << "\""
+      << ",\n  \"hardware_concurrency\": "
+      << std::thread::hardware_concurrency()
+      << ",\n  \"cpu_model\": \"" << CpuModel() << "\"\n}\n";
   return 0;
 }

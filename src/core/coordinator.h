@@ -144,7 +144,9 @@ class Coordinator {
   int invoke_retries_ = 0;
   std::set<SiteId> invoked_sites_;
   std::set<SiteId> executed_sites_;
-  TransMarks transmarks_;
+  /// transmarks.j as the last admitting site returned it; shared with the
+  /// invokes (and their resends) that carry it.
+  std::shared_ptr<const TransMarks> transmarks_;
 
   // Voting / broadcast state.
   std::map<SiteId, bool> votes_;

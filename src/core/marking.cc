@@ -1,6 +1,7 @@
 #include "core/marking.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/string_util.h"
 #include "trace/trace.h"
@@ -15,6 +16,11 @@ int TransMarks::UndoneCount(TxnId ti) const {
 int TransMarks::LcCount(TxnId ti) const {
   auto it = lc_seen.find(ti);
   return it == lc_seen.end() ? 0 : static_cast<int>(it->second.size());
+}
+
+bool TransMarks::SawRetired(TxnId ti, SiteId site) const {
+  auto it = retired_at.find(site);
+  return it != retired_at.end() && it->second->contains(ti);
 }
 
 std::string TransMarks::ToString() const {
@@ -42,10 +48,14 @@ namespace {
 /// the case §6.2 singles out as resolvable only by aborting.)
 bool CompatibleP1(const TransMarks& tm, const SiteMarks& site) {
   for (const auto& [ti, seen] : tm.undone_seen) {
-    if (!seen.empty() && !site.undone.contains(ti)) return false;
+    if (!seen.empty() && !site.undone.contains(ti) && !site.Retired(ti)) {
+      return false;
+    }
   }
   for (TxnId ti : site.undone) {
-    if (tm.UndoneCount(ti) < tm.visited()) return false;
+    if ((site.Retired(ti) ? 0 : tm.UndoneCount(ti)) < tm.visited()) {
+      return false;
+    }
   }
   return true;
 }
@@ -68,10 +78,13 @@ bool CompatibleP2Literal(const TransMarks& tm, const SiteMarks& site) {
 bool CompatibleSimple(const TransMarks& tm, const SiteMarks& site) {
   if (!site.locally_committed.empty()) return false;
   for (const auto& [ti, seen] : tm.undone_seen) {
-    if (!seen.empty() && !site.undone.contains(ti)) return false;
+    if (!seen.empty() && !site.undone.contains(ti) && !site.Retired(ti)) {
+      return false;
+    }
   }
   for (TxnId ti : site.undone) {
-    if (tm.visited() > 0 && tm.UndoneCount(ti) != tm.visited()) {
+    if (tm.visited() > 0 &&
+        (site.Retired(ti) ? 0 : tm.UndoneCount(ti)) != tm.visited()) {
       return false;
     }
   }
@@ -99,129 +112,86 @@ bool Compatible(GovernancePolicy policy, const TransMarks& tm,
 }
 
 void MergeMarks(const SiteMarks& site_marks, SiteId site, TransMarks& tm) {
+  if (site_marks.retired != nullptr) {
+    // Observations of marks retired here no longer constrain this or any
+    // later site.
+    for (auto it = tm.undone_seen.begin(); it != tm.undone_seen.end();) {
+      it = site_marks.Retired(it->first) ? tm.undone_seen.erase(it)
+                                         : std::next(it);
+    }
+    tm.retired_at[site] = site_marks.retired;
+  }
   tm.visited_sites.push_back(site);
   for (TxnId ti : site_marks.undone) tm.undone_seen[ti].insert(site);
   for (TxnId ti : site_marks.locally_committed) tm.lc_seen[ti].insert(site);
 }
 
-bool WitnessKnowledge::HasFact(const WitnessFact& fact) const {
-  return std::binary_search(facts_.begin(), facts_.end(), fact);
+WitnessLog& WitnessKnowledge::log() {
+  if (log_ == nullptr) log_ = std::make_shared<WitnessLog>();
+  return *log_;
 }
 
-bool WitnessKnowledge::InsertFact(const WitnessFact& fact) {
+void WitnessKnowledge::Learn(const WitnessFact& fact) {
   auto it = std::lower_bound(facts_.begin(), facts_.end(), fact);
-  if (it != facts_.end() && *it == fact) return false;
+  if (it != facts_.end() && *it == fact) return;
   facts_.insert(it, fact);
-  export_cache_.reset();
-  return true;
+  log().facts.push_back(fact);
 }
 
 void WitnessKnowledge::Add(const WitnessFact& fact) {
   // Journaled only on first-hand registration; gossiped copies (Merge)
   // trace back to an earlier Add at the witnessing vantage point.
   O2PC_TRACE(kWitness, fact.site, fact.ti);
-  InsertFact(fact);
+  Learn(fact);
 }
 
 void WitnessKnowledge::Merge(const MarkingGossip& gossip) {
-  if (!gossip.witnesses.empty()) {
-    // Export() produces sorted-unique gossip, so the overwhelmingly common
-    // stale-gossip case is a single two-pointer subset walk (gossip is
-    // usually the sender's *entire* fact set, so both sides have comparable
-    // sizes and a sequential linear scan beats a binary search per fact).
-    // The walk validates sorted-uniqueness as it goes: hand-built gossip —
-    // tests — may be unsorted or carry duplicates (set_union would keep
-    // them) and falls back to the per-fact path.
-    bool ordered = true;
-    bool subset = facts_.size() >= gossip.witnesses.size();
-    const WitnessFact* prev = nullptr;
-    auto mine = facts_.begin();
-    for (const WitnessFact& fact : gossip.witnesses) {
-      if (prev != nullptr && !(*prev < fact)) {
-        ordered = false;
-        break;
-      }
-      prev = &fact;
-      if (subset) {
-        while (mine != facts_.end() && *mine < fact) ++mine;
-        if (mine == facts_.end() || *mine != fact) {
-          subset = false;  // keep scanning: the ordering check must finish
-        } else {
-          ++mine;
-        }
-      }
-    }
-    if (!ordered) {
-      for (const WitnessFact& fact : gossip.witnesses) InsertFact(fact);
-    } else if (!subset) {
-      std::vector<WitnessFact> merged;
-      merged.reserve(facts_.size() + gossip.witnesses.size());
-      std::set_union(facts_.begin(), facts_.end(), gossip.witnesses.begin(),
-                     gossip.witnesses.end(), std::back_inserter(merged));
-      facts_ = std::move(merged);
-      export_cache_.reset();
-    }
+  const WitnessLog* source = gossip.log.get();
+  // Nothing learned yet, or our own log (oracle mode merges the shared
+  // directory into itself on every message).
+  if (source == nullptr || source == log_.get()) return;
+  auto mark = std::find_if(
+      read_.begin(), read_.end(),
+      [source](const Watermark& w) { return w.source.get() == source; });
+  if (mark == read_.end()) mark = read_.insert(read_.end(), {gossip.log});
+  // A stale or repeated snapshot ends at or before the watermark: no-op.
+  for (; mark->facts < gossip.facts; ++mark->facts) {
+    Learn(source->facts[mark->facts]);
   }
-  // Export() lists exec_sites in ascending key order, so walk both sides in
-  // lockstep — stale entries (the common case) cost one comparison each and
-  // only genuinely new transactions pay a sorted insert. Out-of-order
-  // hand-built gossip just misses the match test and degrades to the
-  // emplace below, which re-searches from scratch and never duplicates.
-  auto known = exec_sites_.begin();
-  for (const auto& [ti, sites] : gossip.exec_sites) {
-    while (known != exec_sites_.end() && known->first < ti) ++known;
-    if (known != exec_sites_.end() && known->first == ti) continue;
-    known = exec_sites_.emplace(ti, sites).first;  // revalidates `known`
-    ++known;
-    export_cache_.reset();
+  for (; mark->exec_sites < gossip.exec_sites; ++mark->exec_sites) {
+    const auto& [ti, sites] = source->exec_sites[mark->exec_sites];
+    SetExecSites(ti, sites);
   }
-}
-
-void WitnessKnowledge::Merge(
-    const std::shared_ptr<const MarkingGossip>& gossip) {
-  if (gossip == nullptr) return;
-  // Our own live export (oracle mode merges the shared directory into
-  // itself constantly) or a replay of the last-merged snapshot: nothing
-  // new by construction.
-  if (gossip == export_cache_ || gossip == last_merged_) return;
-  Merge(*gossip);
-  last_merged_ = gossip;
 }
 
 void WitnessKnowledge::SetExecSites(TxnId ti, std::vector<SiteId> sites) {
-  if (exec_sites_.emplace(ti, std::move(sites)).second) {
-    export_cache_.reset();
+  const std::size_t next = log_ == nullptr ? 0 : log_->exec_sites.size();
+  if (exec_sites_.emplace(ti, next).second) {
+    log().exec_sites.emplace_back(ti, std::move(sites));
   }
 }
 
 const std::vector<SiteId>* WitnessKnowledge::ExecSitesOf(TxnId ti) const {
   auto it = exec_sites_.find(ti);
-  return it == exec_sites_.end() ? nullptr : &it->second;
-}
-
-std::shared_ptr<const MarkingGossip> WitnessKnowledge::Export() const {
-  if (export_cache_ == nullptr) {
-    auto gossip = std::make_shared<MarkingGossip>();
-    gossip->witnesses = facts_;  // already sorted ascending
-    gossip->exec_sites.assign(exec_sites_.begin(), exec_sites_.end());
-    export_cache_ = std::move(gossip);
-  }
-  return export_cache_;
+  return it == exec_sites_.end() ? nullptr
+                                 : &log_->exec_sites[it->second].second;
 }
 
 bool WitnessKnowledge::Covers(TxnId ti,
                               const std::vector<SiteId>& exec_sites) const {
   if (exec_sites.empty()) return false;
   for (SiteId site : exec_sites) {
-    if (!HasFact(WitnessFact{ti, site})) return false;
+    if (!std::binary_search(facts_.begin(), facts_.end(),
+                            WitnessFact{ti, site})) {
+      return false;
+    }
   }
   return true;
 }
 
 bool WitnessKnowledge::Retired(TxnId ti) const {
-  auto it = exec_sites_.find(ti);
-  if (it == exec_sites_.end()) return false;
-  return Covers(ti, it->second);
+  const std::vector<SiteId>* exec = ExecSitesOf(ti);
+  return exec != nullptr && Covers(ti, *exec);
 }
 
 }  // namespace o2pc::core

@@ -21,8 +21,9 @@ namespace o2pc::core {
 /// Coordinator -> site: run subtransaction T_jk.
 struct SubtxnInvokePayload : net::Payload {
   std::vector<local::Operation> ops;
-  /// The coordinator's accumulated transmarks.j, input to rule R1.
-  TransMarks transmarks;
+  /// The coordinator's accumulated transmarks.j, input to rule R1 (null
+  /// before the first admitted hop and whenever marking is off).
+  std::shared_ptr<const TransMarks> transmarks;
   bool force_abort_vote = false;
   /// Execution-attempt number; lets the participant tell a network resend
   /// (same attempt: re-ack) from an R1-rejection retry (new attempt:
@@ -34,7 +35,7 @@ struct SubtxnInvokePayload : net::Payload {
   /// its marks even existed, so it may pass a site that retired the mark
   /// only if it observed the mark uniformly everywhere else.
   SimTime txn_start = 0;
-  std::shared_ptr<const MarkingGossip> gossip;
+  MarkingGossip gossip;
 };
 
 /// Site -> coordinator: subtransaction finished / was rejected / failed.
@@ -43,14 +44,14 @@ struct SubtxnAckPayload : net::Payload {
   /// the subtransaction failed and was rolled back (e.g. kDeadlock).
   Status status;
   /// Updated transmarks.j (entry marks merged in) when status is OK.
-  TransMarks transmarks;
+  std::shared_ptr<const TransMarks> transmarks;
   /// Mirrors the invoke's attempt number.
   int attempt = 0;
   /// With kRejected: retrying this incarnation in place cannot succeed
   /// (e.g. it tripped a retirement fence); the coordinator should abort and
   /// let the system restart the work as a fresh incarnation.
   bool fatal = false;
-  std::shared_ptr<const MarkingGossip> gossip;
+  MarkingGossip gossip;
 };
 
 /// Coordinator -> site: VOTE-REQ.
@@ -59,7 +60,7 @@ struct VoteRequestPayload : net::Payload {
   /// uses this list for the cooperative termination protocol: when the
   /// coordinator stops answering DECISION-REQs, peers are asked instead.
   std::vector<SiteId> participants;
-  std::shared_ptr<const MarkingGossip> gossip;
+  MarkingGossip gossip;
 };
 
 /// Site -> coordinator: VOTE.
@@ -69,7 +70,7 @@ struct VotePayload : net::Payload {
   /// subtransaction and its WAL vouches for nothing) rather than from
   /// business logic — retrying the transaction afresh makes sense.
   bool recovery_abort = false;
-  std::shared_ptr<const MarkingGossip> gossip;
+  MarkingGossip gossip;
 };
 
 /// Coordinator -> site: DECISION.
@@ -85,14 +86,14 @@ struct DecisionPayload : net::Payload {
   /// abort case needs; the coordinator knows this anyway, so shipping it
   /// costs no extra message.
   std::vector<SiteId> exec_sites;
-  std::shared_ptr<const MarkingGossip> gossip;
+  MarkingGossip gossip;
 };
 
 /// Site -> coordinator: decision processed (including any compensation).
 struct DecisionAckPayload : net::Payload {
   /// True if a compensating subtransaction ran at this site.
   bool compensated = false;
-  std::shared_ptr<const MarkingGossip> gossip;
+  MarkingGossip gossip;
 };
 
 /// Site -> coordinator home: DECISION-REQ. A participant blocked past its
@@ -100,13 +101,13 @@ struct DecisionAckPayload : net::Payload {
 /// answers from the coordinator's force-written decision log even while
 /// the coordinator itself is down (participant-driven decision recovery).
 struct DecisionRequestPayload : net::Payload {
-  std::shared_ptr<const MarkingGossip> gossip;
+  MarkingGossip gossip;
 };
 
 /// Site -> peer site: TERM-REQ, the cooperative termination query. The
 /// asker learned its peers from the VOTE-REQ participant list.
 struct TermRequestPayload : net::Payload {
-  std::shared_ptr<const MarkingGossip> gossip;
+  MarkingGossip gossip;
 };
 
 /// Peer -> asker: TERM-RESP. `known` = the peer can name the outcome —
@@ -122,7 +123,7 @@ struct TermResponsePayload : net::Payload {
   /// asker falls back to its own VOTE-REQ participant list).
   bool exposed = false;
   std::vector<SiteId> exec_sites;
-  std::shared_ptr<const MarkingGossip> gossip;
+  MarkingGossip gossip;
 };
 
 }  // namespace o2pc::core

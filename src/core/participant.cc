@@ -8,6 +8,19 @@
 
 namespace o2pc::core {
 
+namespace {
+
+/// True iff a transaction with view `tm` observed T_i's mark (unless its
+/// observations are `stale`) or T_i's retirement at `site`.
+bool ObservedAt(const TransMarks& tm, TxnId ti, SiteId site,
+                bool stale = false) {
+  auto it = tm.undone_seen.find(ti);
+  return (!stale && it != tm.undone_seen.end() && it->second.contains(site)) ||
+         tm.SawRetired(ti, site);
+}
+
+}  // namespace
+
 Participant::Participant(sim::Simulator* simulator, net::Network* network,
                          local::LocalDb* db, TxnIdAllocator* ids,
                          WitnessKnowledge* knowledge,
@@ -113,8 +126,6 @@ void Participant::OnSubtxnInvoke(const net::Message& message) {
   db_->Begin(sub.local_id, TxnKind::kGlobal, sub.global_id);
 
   if (!MarkingActive()) {
-    sub.merged_marks = sub.invoke_marks;
-    sub.merged_marks.visited_sites.push_back(site());
     O2PC_TRACE(kSubtxnAdmit, site(), message.txn, sub.attempt);
     Step(ProtocolStep::kSubtxnAdmit, message.txn);
     ExecuteNext(message.txn);
@@ -141,7 +152,10 @@ void Participant::OnSubtxnInvoke(const net::Message& message) {
         // right after the check (a final validation happens at the end).
         db_->lock_manager().Release(sub.local_id, options_.marks_key);
         const common::SmallSet<TxnId> entry_undone = marks_.undone;
-        MarkCheck check = EvaluateMarkCheck(sub.invoke_marks, sub.txn_start);
+        static const TransMarks kFirstHop;  // the coordinator has none yet
+        const TransMarks& tm =
+            sub.invoke_marks != nullptr ? *sub.invoke_marks : kFirstHop;
+        MarkCheck check = EvaluateMarkCheck(tm, sub.txn_start);
         if (!check.ok) {
           if (stats_ != nullptr) stats_->Incr("r1_rejections");
           O2PC_TRACE(kR1Reject, site(), gid, sub.attempt,
@@ -162,19 +176,13 @@ void Participant::OnSubtxnInvoke(const net::Message& message) {
         }
         sub.entry_undone = entry_undone;  // includes marks retired just now
         sub.admit_time = simulator_->Now();
-        sub.merged_marks = check.checked;
-        MergeMarks(marks_, site(), sub.merged_marks);
-        // Record post-quiescence observations: this visit provably follows
-        // everything of the transactions retired here, which the fence
-        // accepts in place of mark observations at this site.
-        for (const auto& [retired_ti, tombstone] : retired_marks_) {
-          (void)tombstone;
-          sub.merged_marks.retired_seen[retired_ti].insert(site());
-        }
+        auto merged = std::make_shared<TransMarks>(tm);
+        MergeMarks(marks_, site(), *merged);
+        sub.merged_marks = std::move(merged);
         O2PC_TRACE(kSubtxnAdmit, site(), gid, sub.attempt);
         Step(ProtocolStep::kSubtxnAdmit, gid);
         O2PC_LOG(kDebug) << "site " << site() << " admits T" << gid << " ["
-                         << sub.merged_marks.ToString() << "] at "
+                         << sub.merged_marks->ToString() << "] at "
                          << simulator_->Now();
         ExecuteNext(gid);
       });
@@ -238,8 +246,9 @@ void Participant::FinishExecution(TxnId global_id) {
           // the backward check turns into a restart. Without this, the
           // subtransaction could sit on both sides of CT_i at different
           // sites (the straddle that builds a regular cycle).
-          MarkCheck check = EvaluateMarkCheck(sub.merged_marks, sub.txn_start,
-                                              /*fence_since=*/sub.admit_time);
+          MarkCheck check =
+              EvaluateMarkCheck(*sub.merged_marks, sub.txn_start,
+                                /*fence_since=*/sub.admit_time);
           if (!check.ok) {
             if (stats_ != nullptr) stats_->Incr("r1_revalidation_failures");
             O2PC_TRACE(kR1Reject, site(), global_id, sub.attempt,
@@ -304,10 +313,17 @@ void Participant::FailSubtxn(TxnId global_id, const Status& status) {
 void Participant::SendAck(Subtxn& sub,
                           std::shared_ptr<const SubtxnAckPayload> payload) {
   sub.last_ack = payload;
+  SendToCoordinator(sub, net::MessageType::kSubtxnAck, std::move(payload));
+}
+
+void Participant::SendToCoordinator(
+    const Subtxn& sub, net::MessageType type,
+    std::shared_ptr<const net::Payload> payload) {
+  if (sub.coordinator == kInvalidSite) return;
   net::Message message;
   message.from = site();
   message.to = sub.coordinator;
-  message.type = net::MessageType::kSubtxnAck;
+  message.type = type;
   message.txn = sub.global_id;
   message.payload = std::move(payload);
   network_->Send(std::move(message));
@@ -349,12 +365,12 @@ int Participant::InDoubtCount() const {
 }
 
 Participant::RecoveryStats Participant::BeginRecovery(
-    const std::vector<std::shared_ptr<const MarkingGossip>>& snapshots,
+    const std::vector<MarkingGossip>& snapshots,
     std::function<void()> on_catchup_settled) {
   // Marking catch-up, step 1: absorb what the surviving sites learned
   // while this one was down — witness facts (rule R3 retirement) and
   // execution-site sets (known only from abort DECISIONs).
-  for (const auto& snapshot : snapshots) knowledge_->Merge(snapshot);
+  for (const MarkingGossip& snapshot : snapshots) knowledge_->Merge(snapshot);
   TryUnmark();
 
   RecoveryStats stats;
@@ -587,13 +603,7 @@ void Participant::SendVote(Subtxn& sub, bool commit, bool recovery_abort) {
   sub.last_vote = payload;
   O2PC_TRACE(kVote, site(), sub.global_id, commit ? 1 : 0,
              recovery_abort ? 1 : 0);
-  net::Message message;
-  message.from = site();
-  message.to = sub.coordinator;
-  message.type = net::MessageType::kVote;
-  message.txn = sub.global_id;
-  message.payload = std::move(payload);
-  network_->Send(std::move(message));
+  SendToCoordinator(sub, net::MessageType::kVote, std::move(payload));
 }
 
 void Participant::OnDecision(const net::Message& message) {
@@ -618,6 +628,9 @@ void Participant::OnDecision(const net::Message& message) {
     it = subtxns_.find(message.txn);
   }
   Subtxn& sub = it->second;
+  // The sender is the authoritative coordinator — a stub created by a
+  // TERM-REQ has none to re-ack to.
+  sub.coordinator = message.from;
   if (sub.decision_acked) {
     if (sub.last_decision_ack != nullptr) {
       SendDecisionAck(sub, sub.last_decision_ack->compensated);
@@ -736,13 +749,7 @@ void Participant::SendDecisionAck(Subtxn& sub, bool compensated) {
   payload->compensated = compensated;
   payload->gossip = Gossip();
   sub.last_decision_ack = payload;
-  net::Message message;
-  message.from = site();
-  message.to = sub.coordinator;
-  message.type = net::MessageType::kDecisionAck;
-  message.txn = sub.global_id;
-  message.payload = std::move(payload);
-  network_->Send(std::move(message));
+  SendToCoordinator(sub, net::MessageType::kDecisionAck, std::move(payload));
 }
 
 // ---------------------------------------------------------------------------
@@ -886,13 +893,7 @@ void Participant::TerminationRound(Subtxn& sub) {
     if (stats_ != nullptr) stats_->Incr("decision_reqs_sent");
     auto payload = net::MakePayload<DecisionRequestPayload>();
     payload->gossip = Gossip();
-    net::Message message;
-    message.from = site();
-    message.to = sub.coordinator;
-    message.type = net::MessageType::kDecisionReq;
-    message.txn = sub.global_id;
-    message.payload = std::move(payload);
-    network_->Send(std::move(message));
+    SendToCoordinator(sub, net::MessageType::kDecisionReq, std::move(payload));
   }
   ArmTermination(sub);
 }
@@ -1090,7 +1091,13 @@ void Participant::RetireMark(TxnId ti, bool self_witness) {
   O2PC_TRACE(kMarkRetire, site(), ti, self_witness ? 1 : 0);
   O2PC_LOG(kDebug) << "site " << site() << " retires mark T" << ti << " at "
                    << simulator_->Now();
-  retired_marks_.emplace(ti, std::move(tombstone));
+  if (retired_marks_.emplace(ti, std::move(tombstone)).second) {
+    // A new snapshot: transmarks admitted earlier keep the old one.
+    auto keys = std::make_shared<TombstoneKeys>();
+    if (marks_.retired != nullptr) *keys = *marks_.retired;
+    keys->insert(ti);
+    marks_.retired = std::move(keys);
+  }
   if (stats_ != nullptr) stats_->Incr("udum_unmarks");
 }
 
@@ -1123,7 +1130,6 @@ Participant::MarkCheck Participant::EvaluateMarkCheck(const TransMarks& tm,
                                                       SimTime txn_start,
                                                       SimTime fence_since) {
   MarkCheck result;
-  result.checked = tm;
   const GovernancePolicy policy = options_.protocol.governance;
 
   // Rule R3, executed as part of the accessing transaction: this access is
@@ -1137,7 +1143,7 @@ Participant::MarkCheck Participant::EvaluateMarkCheck(const TransMarks& tm,
   // the strengthened P2).
   if (policy == GovernancePolicy::kP2 ||
       policy == GovernancePolicy::kP2Literal) {
-    if (!Compatible(GovernancePolicy::kP2Literal, result.checked, marks_)) {
+    if (!Compatible(GovernancePolicy::kP2Literal, tm, marks_)) {
       result.ok = false;
       result.reason = "LC marks incompatible";
       return result;
@@ -1164,37 +1170,23 @@ Participant::MarkCheck Participant::EvaluateMarkCheck(const TransMarks& tm,
   // just as dangerous transitively — at a site it visited before the mark
   // existed there. The *retirement fence* admits a straddler only if it
   // observed the mark at every site it visited (then all its accesses sit
-  // after CT_i and the stale transmark entry is dropped); anything else
-  // restarts as a fresh incarnation.
+  // after CT_i and the stale transmark entry no longer counts, here or
+  // later); anything else restarts as a fresh incarnation.
   for (const auto& [ti, tombstone] : retired_marks_) {
-    (void)tombstone;
-    auto seen_it = result.checked.undone_seen.find(ti);
-    if (txn_start < tombstone.retire_time &&
-        tombstone.retire_time > fence_since) {
-      auto retired_it = result.checked.retired_seen.find(ti);
-      bool covered = true;
-      for (SiteId visited : result.checked.visited_sites) {
-        // An unexposed transaction's dependencies cannot leave its
-        // execution sites; an exposed one's can (readers carry them
-        // anywhere), so every visited site needs coverage.
-        if (!tombstone.exposed &&
-            std::find(tombstone.exec_sites.begin(),
-                      tombstone.exec_sites.end(),
-                      visited) == tombstone.exec_sites.end()) {
-          continue;
-        }
-        const bool saw_mark =
-            seen_it != result.checked.undone_seen.end() &&
-            seen_it->second.contains(visited);
-        const bool saw_quiescent =
-            retired_it != result.checked.retired_seen.end() &&
-            retired_it->second.contains(visited);
-        if (!saw_mark && !saw_quiescent) {
-          covered = false;
-          break;
-        }
+    if (txn_start >= tombstone.retire_time ||
+        tombstone.retire_time <= fence_since) {
+      continue;
+    }
+    for (SiteId visited : tm.visited_sites) {
+      // An unexposed transaction's dependencies cannot leave its
+      // execution sites; an exposed one's can (readers carry them
+      // anywhere), so every visited site needs coverage.
+      if (!tombstone.exposed &&
+          std::find(tombstone.exec_sites.begin(), tombstone.exec_sites.end(),
+                    visited) == tombstone.exec_sites.end()) {
+        continue;
       }
-      if (!covered) {
+      if (!ObservedAt(tm, ti, visited)) {
         result.ok = false;
         result.fatal = true;
         result.reason =
@@ -1202,16 +1194,12 @@ Participant::MarkCheck Participant::EvaluateMarkCheck(const TransMarks& tm,
         return result;
       }
     }
-    // The stale entry no longer constrains this or future sites.
-    if (seen_it != result.checked.undone_seen.end()) {
-      result.checked.undone_seen.erase(seen_it);
-    }
   }
 
   if (policy == GovernancePolicy::kSimple) {
     // The crude closing-remark protocol of §6.2: exact undone-set
     // equality, no refinements.
-    if (!Compatible(GovernancePolicy::kSimple, result.checked, marks_)) {
+    if (!Compatible(GovernancePolicy::kSimple, tm, marks_)) {
       result.ok = false;
       result.reason = "undone sets differ";
     }
@@ -1224,8 +1212,10 @@ Participant::MarkCheck Participant::EvaluateMarkCheck(const TransMarks& tm,
   // T_i's doomed updates and later precede CT_i here). If T_i is absent,
   // still active (its held locks force any conflict to order after the
   // rollback), or long finished here, admission is safe.
-  for (const auto& [ti, seen] : result.checked.undone_seen) {
-    if (seen.empty() || marks_.undone.contains(ti)) continue;
+  for (const auto& [ti, seen] : tm.undone_seen) {
+    if (seen.empty() || marks_.Retired(ti) || marks_.undone.contains(ti)) {
+      continue;
+    }
     if (HasExposedPending(ti)) {
       result.ok = false;
       result.reason =
@@ -1243,7 +1233,8 @@ Participant::MarkCheck Participant::EvaluateMarkCheck(const TransMarks& tm,
   // need coverage. A transaction that missed a required observation can
   // never repair it in place — restart as a fresh incarnation.
   for (TxnId ti : marks_.undone) {
-    if (result.checked.UndoneCount(ti) == result.checked.visited()) {
+    const bool stale = marks_.Retired(ti);  // re-marked after retiring
+    if ((stale ? 0 : tm.UndoneCount(ti)) == tm.visited()) {
       continue;  // saw it everywhere: the paper's uniform case
     }
     const bool ti_exposed = marks_.exposed_undone.contains(ti);
@@ -1259,19 +1250,12 @@ Participant::MarkCheck Participant::EvaluateMarkCheck(const TransMarks& tm,
       result.reason = StrCat("T", ti, " undone here, exec sites unknown");
       return result;
     }
-    auto seen_it = result.checked.undone_seen.find(ti);
-    auto retired_it = result.checked.retired_seen.find(ti);
-    for (SiteId visited : result.checked.visited_sites) {
+    for (SiteId visited : tm.visited_sites) {
       if (!ti_exposed &&
           std::find(exec->begin(), exec->end(), visited) == exec->end()) {
         continue;  // unexposed: this visit cannot carry the dependency
       }
-      const bool saw_mark = seen_it != result.checked.undone_seen.end() &&
-                            seen_it->second.contains(visited);
-      const bool saw_quiescent =
-          retired_it != result.checked.retired_seen.end() &&
-          retired_it->second.contains(visited);
-      if (!saw_mark && !saw_quiescent) {
+      if (!ObservedAt(tm, ti, visited, stale)) {
         result.ok = false;
         result.fatal = true;
         result.reason = StrCat("undone w.r.t. T", ti,

@@ -114,9 +114,8 @@ class Participant {
   /// back first so their recovery locks cannot block the catch-up CTs.
   /// `on_catchup_settled` fires once every catch-up compensation has
   /// completed (synchronously when none run).
-  RecoveryStats BeginRecovery(
-      const std::vector<std::shared_ptr<const MarkingGossip>>& snapshots,
-      std::function<void()> on_catchup_settled);
+  RecoveryStats BeginRecovery(const std::vector<MarkingGossip>& snapshots,
+                              std::function<void()> on_catchup_settled);
 
   /// Closes the recovery phase: arms the termination protocol
   /// (DECISION-REQ / cooperative termination) for every subtransaction
@@ -125,9 +124,7 @@ class Participant {
 
   /// Exports this site's witness-gossip snapshot (for a recovering peer's
   /// marking catch-up).
-  std::shared_ptr<const MarkingGossip> ExportKnowledge() const {
-    return Gossip();
-  }
+  MarkingGossip ExportKnowledge() const { return Gossip(); }
 
   /// In-doubt subtransactions currently pending in the WAL (pending
   /// exposed + pending prepared) — the recovery analysis pass's input.
@@ -149,15 +146,17 @@ class Participant {
     TxnId local_id = kInvalidTxn;
     std::vector<local::Operation> ops;
     std::size_t next_op = 0;
-    /// transmarks.j as received with the invoke (pre-merge).
-    TransMarks invoke_marks;
+    /// transmarks.j as received with the invoke (pre-merge; null on a
+    /// first hop).
+    std::shared_ptr<const TransMarks> invoke_marks;
     /// Start time of the global incarnation (for retirement fences).
     SimTime txn_start = 0;
     /// When rule R1 admitted this attempt (tombstones no newer than this
     /// were already evaluated by the admission fence).
     SimTime admit_time = 0;
     /// transmarks.j after merging this site's marks (returned in the ack).
-    TransMarks merged_marks;
+    /// The only TransMarks an admitted hop builds; null with marking off.
+    std::shared_ptr<const TransMarks> merged_marks;
     /// The undone set observed at entry — this subtransaction "executed
     /// while the site was undone" w.r.t. exactly these transactions.
     common::SmallSet<TxnId> entry_undone;
@@ -263,6 +262,11 @@ class Participant {
   /// roll back (invisible exact restore), mark undone, ack.
   void FailSubtxn(TxnId global_id, const Status& status);
   void SendAck(Subtxn& sub, std::shared_ptr<const SubtxnAckPayload> payload);
+  /// Sends to `sub`'s coordinator; a no-op for a runtime that has none (a
+  /// TERM-REQ stub, a WAL record that named none) — the coordinator's own
+  /// resends or the termination protocol settle those.
+  void SendToCoordinator(const Subtxn& sub, net::MessageType type,
+                         std::shared_ptr<const net::Payload> payload);
 
   void SendVote(Subtxn& sub, bool commit, bool recovery_abort = false);
   void SendDecisionAck(Subtxn& sub, bool compensated);
@@ -297,18 +301,17 @@ class Participant {
     bool ok = true;
     /// Rejection that in-place retries cannot fix (fence tripped).
     bool fatal = false;
-    /// transmarks to use for the merge: uniform-observed entries of
-    /// retired marks are dropped (the transaction sits entirely in the
-    /// "after CT_i" class, so the stale entry must not poison it).
-    TransMarks checked;
     std::string reason;
   };
 
   /// Runs R3 + fence + compatible() for a subtransaction arriving with
   /// `tm` whose incarnation started at `txn_start`. Has the side effect of
-  /// retiring UDUM1-complete marks. `fence_since` skips tombstones the
-  /// caller already cleared (the end-of-subtransaction revalidation only
-  /// fences retirements that happened after admission).
+  /// retiring UDUM1-complete marks. Undone observations of retired marks
+  /// count as absent (the transaction sits entirely in the "after CT_i"
+  /// class, so the stale entry must not poison it; the admitting merge
+  /// drops them). `fence_since` skips tombstones the caller already
+  /// cleared (the end-of-subtransaction revalidation only fences
+  /// retirements that happened after admission).
   MarkCheck EvaluateMarkCheck(const TransMarks& tm, SimTime txn_start,
                               SimTime fence_since = 0);
 
@@ -317,9 +320,7 @@ class Participant {
   /// still read *before* CT_i runs here).
   bool HasExposedPending(TxnId ti) const;
 
-  std::shared_ptr<const MarkingGossip> Gossip() const {
-    return knowledge_->Export();
-  }
+  MarkingGossip Gossip() const { return knowledge_->Export(); }
 
   sim::Simulator* simulator_;   // not owned
   net::Network* network_;       // not owned
@@ -330,6 +331,7 @@ class Participant {
   Options options_;
   SiteMarks marks_;
   /// Rule R3 tombstones: T_i -> (retirement time, T_i's execution sites).
+  /// Never shrinks, not even in OnCrash; marks_.retired mirrors its keys.
   struct Tombstone {
     SimTime retire_time = 0;
     bool exposed = true;

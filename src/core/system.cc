@@ -303,7 +303,7 @@ void DistributedSystem::BeginSiteRecovery(SiteId site, std::uint64_t seq,
   // CT_i during the outage carries T_i's execution-site set, which is
   // exactly the verdict the recovering site must replay before admitting
   // new work.
-  std::vector<std::shared_ptr<const MarkingGossip>> snapshots;
+  std::vector<MarkingGossip> snapshots;
   for (std::size_t peer = 0; peer < sites_.size(); ++peer) {
     const SiteId peer_site = static_cast<SiteId>(peer);
     if (peer_site == site || network_.NodeDown(peer_site)) continue;

@@ -731,6 +731,22 @@ TEST(ShrinkTest, CrashRestartNoiseShrinksAwayFromLethalPlan) {
   EXPECT_FALSE(RunOne(probe).ok());
 }
 
+TEST(CampaignTest, TermRequestStubLearningTheDecisionStaysClean) {
+  // Run 26 of `o2pc_campaign --seed 917 --runs 28` (crash_restarts, O2PC):
+  // a TERM-REQ left a coordinator-less stub at site 1, and the DECISION
+  // that reached it was acked to kInvalidSite, aborting the process
+  // ("send to unregistered node 4294967295").
+  CampaignRunConfig config;
+  config.protocol = core::CommitProtocol::kOptimistic;
+  config.seed = 917;
+  config.template_name = "crash_restarts";
+  config.plan = GeneratePlan(config.template_name, config.seed,
+                             config.num_sites);
+  const CampaignRunResult result = RunOne(config);
+  EXPECT_TRUE(result.ok()) << result.oracle.Summary();
+  EXPECT_GT(result.site_crashes, 0u);
+}
+
 TEST(CampaignTest, HealthySweepPassesAllOracles) {
   CampaignOptions options;
   options.runs = 16;  // one full template cycle under both protocols
