@@ -1,14 +1,22 @@
 // E7 — microbenchmarks of the building blocks (google-benchmark):
 // event kernel, lock manager, conflict tracking + regular-cycle detection,
-// marking-set checks.
+// marking-set checks, journal fingerprinting.
 
 #include <benchmark/benchmark.h>
 
+#include <cinttypes>
+#include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <map>
 #include <memory>
 #include <set>
+#include <sstream>
+#include <string>
+#include <vector>
 
+#include "campaign/fault_plan.h"
+#include "campaign/runner.h"
 #include "common/flat_hash.h"
 #include "common/rng.h"
 #include "core/marking.h"
@@ -20,6 +28,8 @@
 #include "sg/regular_cycle.h"
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
+#include "trace/export.h"
+#include "trace/trace.h"
 
 namespace o2pc {
 namespace {
@@ -360,6 +370,94 @@ void BM_WitnessGossipMergeStale(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 800);
 }
 BENCHMARK(BM_WitnessGossipMergeStale);
+
+/// One JSONL line back to its event (the fields the line carries).
+trace::TraceEvent ParseJsonLine(const std::string& line) {
+  char name[32] = {};
+  std::int64_t site = 0;
+  trace::TraceEvent event;
+  const int fields = std::sscanf(
+      line.c_str(),
+      "{\"t\":%" SCNd64 ",\"type\":\"%31[^\"]\",\"site\":%" SCNd64
+      ",\"txn\":%" SCNu64 ",\"a\":%" SCNd64 ",\"b\":%" SCNd64,
+      &event.time, name, &site, &event.txn, &event.a, &event.b);
+  if (fields != 6) std::abort();
+  event.site = site < 0 ? kInvalidSite : static_cast<SiteId>(site);
+  for (int type = 0; type < trace::kNumEventTypes; ++type) {
+    if (std::string(trace::EventTypeName(static_cast<trace::EventType>(
+            type))) == name) {
+      event.type = static_cast<trace::EventType>(type);
+    }
+  }
+  return event;
+}
+
+/// The journals of every default template x both protocols at seed 1.
+/// RunOne keeps its recorder to itself, so the events are read back from
+/// the rendered journal, and re-rendering them must reproduce it exactly.
+const std::vector<std::vector<trace::TraceEvent>>& CampaignJournals() {
+  static const auto* const journals = [] {
+    auto* out = new std::vector<std::vector<trace::TraceEvent>>;
+    for (const std::string& name : campaign::DefaultTemplateNames()) {
+      for (const core::CommitProtocol protocol :
+           {core::CommitProtocol::kOptimistic,
+            core::CommitProtocol::kTwoPhaseCommit}) {
+        campaign::CampaignRunConfig config;
+        config.protocol = protocol;
+        config.template_name = name;
+        config.plan = campaign::GeneratePlan(name, 1, config.num_sites);
+        config.render_journal = true;
+        const std::string journal = campaign::RunOne(config).journal;
+        std::vector<trace::TraceEvent> events;
+        std::istringstream lines(journal);
+        for (std::string line; std::getline(lines, line);) {
+          events.push_back(ParseJsonLine(line));
+        }
+        if (trace::ExportJsonlString(events) != journal) std::abort();
+        out->push_back(std::move(events));
+      }
+    }
+    return out;
+  }();
+  return *journals;
+}
+
+/// Reports the kernel's time per journal event (`per_event`, seconds).
+void ReportTimePerEvent(
+    benchmark::State& state,
+    const std::vector<std::vector<trace::TraceEvent>>& journals) {
+  std::size_t events = 0;
+  for (const auto& journal : journals) events += journal.size();
+  state.counters["per_event"] = benchmark::Counter(
+      static_cast<double>(events),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+
+// The reference path: render the JSONL journal, then FNV-1a it.
+void BM_JournalFingerprintRendered(benchmark::State& state) {
+  const auto& journals = CampaignJournals();
+  for (auto _ : state) {
+    for (const auto& events : journals) {
+      benchmark::DoNotOptimize(
+          campaign::Fingerprint(trace::ExportJsonlString(events)));
+    }
+  }
+  ReportTimePerEvent(state, journals);
+}
+BENCHMARK(BM_JournalFingerprintRendered)->Unit(benchmark::kMillisecond);
+
+// What RunOne does: the same hash straight from the event stream.
+void BM_JournalFingerprintDirect(benchmark::State& state) {
+  const auto& journals = CampaignJournals();
+  for (auto _ : state) {
+    for (const auto& events : journals) {
+      benchmark::DoNotOptimize(trace::JsonlFingerprint(events));
+    }
+  }
+  ReportTimePerEvent(state, journals);
+}
+BENCHMARK(BM_JournalFingerprintDirect)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace o2pc

@@ -11,6 +11,7 @@
 
 #include "campaign/injector.h"
 #include "campaign/shrink.h"
+#include "common/fnv.h"
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "exec/run_executor.h"
@@ -23,10 +24,10 @@
 namespace o2pc::campaign {
 
 std::uint64_t Fingerprint(const std::string& text) {
-  std::uint64_t hash = 14695981039346656037ULL;
+  std::uint64_t hash = kFnvOffsetBasis;
   for (unsigned char c : text) {
     hash ^= c;
-    hash *= 1099511628211ULL;
+    hash *= kFnvPrime;
   }
   return hash;
 }
@@ -219,8 +220,10 @@ CampaignRunResult RunOne(const CampaignRunConfig& config) {
       }
     }
   }
-  result.journal = trace::ExportJsonlString(recorder.events());
-  result.fingerprint = Fingerprint(result.journal);
+  result.fingerprint = trace::JsonlFingerprint(recorder.events());
+  if (config.render_journal) {
+    result.journal = trace::ExportJsonlString(recorder.events());
+  }
   result.committed = system.stats().Count("globals_committed");
   result.aborted = system.stats().Count("globals_aborted");
   result.compensations = system.stats().Count("compensations_committed");
@@ -365,11 +368,11 @@ bool LoadArtifact(const std::string& path, CampaignRunConfig* config,
 }
 
 std::uint64_t CampaignReport::CombinedFingerprint() const {
-  std::uint64_t hash = 14695981039346656037ULL;
+  std::uint64_t hash = kFnvOffsetBasis;
   for (std::uint64_t fp : fingerprints) {
     for (int byte = 0; byte < 8; ++byte) {
       hash ^= (fp >> (byte * 8)) & 0xff;
-      hash *= 1099511628211ULL;
+      hash *= kFnvPrime;
     }
   }
   return hash;

@@ -41,6 +41,10 @@ struct CampaignRunConfig {
   /// Capture phase latencies + coverage for this run (telemetry is purely
   /// observational; journals and fingerprints are identical either way).
   bool collect_telemetry = false;
+  /// Also render the JSONL journal into CampaignRunResult::journal. Only a
+  /// byte comparison of journals needs it (`o2pc_campaign --replay`); the
+  /// fingerprint is computed from the event stream either way.
+  bool render_journal = false;
   /// Also sample the system gauges over simulated time (one series per
   /// sampled run; the campaign samples the first run of each protocol).
   bool collect_time_series = false;
@@ -66,10 +70,12 @@ struct RecoveryWindow {
 /// Outcome of one run.
 struct CampaignRunResult {
   OracleReport oracle;
-  /// The run's full JSONL trace journal (the replay-comparison artifact).
+  /// The run's full JSONL trace journal (the replay-comparison artifact);
+  /// empty unless config.render_journal was set.
   std::string journal;
-  /// FNV-1a 64-bit fingerprint of `journal`; equal fingerprints across
-  /// replays certify deterministic reproduction.
+  /// FNV-1a 64-bit fingerprint of the JSONL journal, rendered or not
+  /// (trace::JsonlFingerprint); equal fingerprints across replays certify
+  /// deterministic reproduction.
   std::uint64_t fingerprint = 0;
   std::uint64_t committed = 0;
   std::uint64_t aborted = 0;
@@ -88,12 +94,13 @@ struct CampaignRunResult {
   bool ok() const { return oracle.ok(); }
 };
 
-/// FNV-1a 64-bit (for journal fingerprints).
+/// FNV-1a 64-bit of `text`. For a rendered journal this equals
+/// trace::JsonlFingerprint of its events, which RunOne uses instead.
 std::uint64_t Fingerprint(const std::string& text);
 
 /// Executes one run: builds the system, arms the injector, drives the
-/// workload, drains the simulation, runs the oracles, and exports the
-/// journal.
+/// workload, drains the simulation, runs the oracles, and fingerprints
+/// the journal (rendering it too when config.render_journal is set).
 CampaignRunResult RunOne(const CampaignRunConfig& config);
 
 /// Campaign sweep parameters.

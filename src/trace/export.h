@@ -1,6 +1,7 @@
 #ifndef O2PC_TRACE_EXPORT_H_
 #define O2PC_TRACE_EXPORT_H_
 
+#include <cstdint>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -29,9 +30,15 @@ std::string ToJsonLine(const TraceEvent& event);
 void AppendJsonLine(const TraceEvent& event, std::string* out);
 
 /// Whole-journal JSONL as one string (one line per event,
-/// newline-terminated). Byte-identical to ExportJsonl's stream output;
-/// this is what the campaign runner fingerprints per run.
+/// newline-terminated). Byte-identical to ExportJsonl's stream output.
 std::string ExportJsonlString(const std::vector<TraceEvent>& events);
+
+/// The FNV-1a 64-bit hash of ExportJsonlString(events) — for every input
+/// exactly campaign::Fingerprint(ExportJsonlString(events)) — computed
+/// without rendering: constant runs of each line are folded in by
+/// compile-time jump tables, only the decimal digits byte by byte. This is
+/// the campaign runner's per-run journal fingerprint.
+std::uint64_t JsonlFingerprint(const std::vector<TraceEvent>& events);
 
 /// Whole-journal JSONL (one ToJsonLine per event, newline-terminated).
 void ExportJsonl(const std::vector<TraceEvent>& events, std::ostream& out);

@@ -12,92 +12,6 @@ namespace {
 thread_local TraceRecorder* g_active = nullptr;
 }  // namespace
 
-const char* EventTypeName(EventType type) {
-  switch (type) {
-    case EventType::kTxnSubmit:
-      return "txn_submit";
-    case EventType::kTxnRestart:
-      return "txn_restart";
-    case EventType::kTxnFinish:
-      return "txn_finish";
-    case EventType::kMsgSend:
-      return "msg_send";
-    case EventType::kMsgRecv:
-      return "msg_recv";
-    case EventType::kMsgDrop:
-      return "msg_drop";
-    case EventType::kLockWait:
-      return "lock_wait";
-    case EventType::kLockAcquire:
-      return "lock_acquire";
-    case EventType::kLockRelease:
-      return "lock_release";
-    case EventType::kSubtxnAdmit:
-      return "subtxn_admit";
-    case EventType::kR1Reject:
-      return "r1_reject";
-    case EventType::kSubtxnFail:
-      return "subtxn_fail";
-    case EventType::kLocalCommit:
-      return "local_commit";
-    case EventType::kPrepare:
-      return "prepare";
-    case EventType::kFinalCommit:
-      return "final_commit";
-    case EventType::kRollback:
-      return "rollback";
-    case EventType::kVote:
-      return "vote";
-    case EventType::kDecide:
-      return "decide";
-    case EventType::kCompensationBegin:
-      return "compensation_begin";
-    case EventType::kCompensationRetry:
-      return "compensation_retry";
-    case EventType::kCompensationEnd:
-      return "compensation_end";
-    case EventType::kMarkInsert:
-      return "mark_insert";
-    case EventType::kMarkRetire:
-      return "mark_retire";
-    case EventType::kWitness:
-      return "witness";
-    case EventType::kCoordinatorCrash:
-      return "coordinator_crash";
-    case EventType::kCoordinatorRecover:
-      return "coordinator_recover";
-    case EventType::kSiteCrash:
-      return "site_crash";
-    case EventType::kSiteRecover:
-      return "site_recover";
-    case EventType::kDecisionTimeout:
-      return "decision_timeout";
-    case EventType::kTermResolve:
-      return "term_resolve";
-    case EventType::kRecoveryBegin:
-      return "recovery_begin";
-    case EventType::kRecoveryEnd:
-      return "recovery_end";
-  }
-  return "?";
-}
-
-const char* MarkReasonName(MarkReason reason) {
-  switch (reason) {
-    case MarkReason::kRollback:
-      return "rollback";
-    case MarkReason::kVoteAbort:
-      return "vote_abort";
-    case MarkReason::kCompensation:
-      return "compensation";
-    case MarkReason::kDecisionRollback:
-      return "decision_rollback";
-    case MarkReason::kCrashRecovery:
-      return "crash_recovery";
-  }
-  return "?";
-}
-
 void TraceRecorder::Record(EventType type, SiteId site, TxnId txn,
                            std::int64_t a, std::int64_t b) {
   TraceEvent event;

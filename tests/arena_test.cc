@@ -56,6 +56,22 @@ campaign::CampaignRunConfig StandardRun(std::uint64_t seed) {
   return config;
 }
 
+// The direct journal fingerprint's tables are compile-time constants, so
+// no arena rewind can overwrite them: two different runs recycle one
+// worker arena in turn, and each direct fingerprint must equal the hash of
+// its rendered journal. In file order this test makes the process's first
+// direct fingerprint, inside an armed arena.
+TEST(WorldPoolTest, DirectFingerprintMatchesRenderedAcrossRewinds) {
+  for (const std::uint64_t seed : {5, 6}) {
+    campaign::CampaignRunConfig config = StandardRun(seed);
+    config.render_journal = true;
+    exec::WorldPool::ScopedRun scope;
+    const campaign::CampaignRunResult result = campaign::RunOne(config);
+    EXPECT_EQ(result.fingerprint, campaign::Fingerprint(result.journal))
+        << "seed " << seed;
+  }
+}
+
 // The acceptance gate: after warmup (payload-pool freelists filled, process
 // statics constructed), a campaign run inside a recycled world performs 0
 // system-heap allocations — every allocation the run makes is a bump into
@@ -88,7 +104,8 @@ TEST(WorldPoolTest, SteadyStateRecycledRunPerformsZeroHeapAllocations) {
 // the full 3-seed fresh-vs-recycled equality (journals + telemetry JSON)
 // lives in determinism_golden_test.cc. Here: the cheap always-on variant.
 TEST(WorldPoolTest, RecycledRunFingerprintMatchesFreshRun) {
-  const campaign::CampaignRunConfig config = StandardRun(23);
+  campaign::CampaignRunConfig config = StandardRun(23);
+  config.render_journal = true;
   const campaign::CampaignRunResult fresh = campaign::RunOne(config);
   std::optional<exec::WorldPool::ScopedRun> scope(std::in_place);
   const campaign::CampaignRunResult armed = campaign::RunOne(config);

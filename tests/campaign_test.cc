@@ -222,6 +222,7 @@ TEST(ReplayTest, SameSeedAndPlanYieldByteIdenticalJournals) {
         core::CommitProtocol::kTwoPhaseCommit}) {
     CampaignRunConfig config = SmallConfig(protocol, 21);
     config.plan = GeneratePlan("mixed", 21, config.num_sites);
+    config.render_journal = true;
     const CampaignRunResult first = RunOne(config);
     const CampaignRunResult second = RunOne(config);
     ASSERT_FALSE(first.journal.empty());
@@ -310,6 +311,7 @@ TEST(ReplayTest, CoordinatorOutageReplaysByteIdentically) {
         core::CommitProtocol::kTwoPhaseCommit}) {
     CampaignRunConfig config = SmallConfig(protocol, 33);
     config.plan = GeneratePlan("coordinator_outage", 33, config.num_sites);
+    config.render_journal = true;
     const CampaignRunResult first = RunOne(config);
     const CampaignRunResult second = RunOne(config);
     ASSERT_FALSE(first.journal.empty());
@@ -435,6 +437,7 @@ TEST(ReplayTest, AdversarialTemplatesReplayByteIdentically) {
       config.template_name = name;
       config.plan = GeneratePlan(name, 41, config.num_sites);
       ASSERT_FALSE(config.plan.empty()) << name;
+      config.render_journal = true;
       const CampaignRunResult first = RunOne(config);
       const CampaignRunResult second = RunOne(config);
       ASSERT_FALSE(first.journal.empty());
@@ -466,9 +469,11 @@ TEST(ReplayTest, MixedDuplicateOneWayPlanReplaysByteIdentically) {
   oneway.at = Millis(6);
   oneway.duration = Millis(30);
   config.plan.events.push_back(oneway);
+  config.render_journal = true;
 
   const CampaignRunResult first = RunOne(config);
   const CampaignRunResult second = RunOne(config);
+  ASSERT_FALSE(first.journal.empty());
   EXPECT_EQ(first.fingerprint, second.fingerprint);
   EXPECT_EQ(first.journal, second.journal);
   EXPECT_EQ(first.faults_triggered, 2);
@@ -696,6 +701,7 @@ TEST(ReplayTest, CrashRestartTemplateReplaysByteIdentically) {
     config.template_name = "crash_restarts";
     config.plan = GeneratePlan("crash_restarts", 61, config.num_sites);
     ASSERT_FALSE(config.plan.empty());
+    config.render_journal = true;
     const CampaignRunResult first = RunOne(config);
     const CampaignRunResult second = RunOne(config);
     ASSERT_FALSE(first.journal.empty());

@@ -73,10 +73,16 @@ TEST(DeterminismGoldenTest, TraceJournalFingerprintPinned) {
   config.seed = 7;
   config.plan = campaign::GeneratePlan("mixed", 7, config.num_sites);
   config.template_name = "mixed";
-  const campaign::CampaignRunResult result = campaign::RunOne(config);
-  EXPECT_EQ(result.fingerprint, campaign::Fingerprint(result.journal));
-  EXPECT_EQ(result.fingerprint, kGoldenJournalFingerprint)
-      << "actual: " << std::hex << result.fingerprint;
+  const campaign::CampaignRunResult direct = campaign::RunOne(config);
+  EXPECT_TRUE(direct.journal.empty());
+  EXPECT_EQ(direct.fingerprint, kGoldenJournalFingerprint)
+      << "actual: " << std::hex << direct.fingerprint;
+
+  config.render_journal = true;
+  const campaign::CampaignRunResult rendered = campaign::RunOne(config);
+  EXPECT_EQ(rendered.fingerprint, kGoldenJournalFingerprint);
+  EXPECT_EQ(campaign::Fingerprint(rendered.journal), kGoldenJournalFingerprint)
+      << "actual: " << std::hex << campaign::Fingerprint(rendered.journal);
 }
 
 // World-reuse gate (DESIGN §16): a run executed inside a recycled
@@ -104,6 +110,7 @@ TEST(DeterminismGoldenTest, RecycledWorldByteIdenticalToFreshWorld) {
     config.plan =
         campaign::GeneratePlan(c.template_name, c.seed, config.num_sites);
     config.collect_telemetry = true;
+    config.render_journal = true;
 
     // Fresh world: plain heap construction, no arena involved.
     const campaign::CampaignRunResult fresh = campaign::RunOne(config);

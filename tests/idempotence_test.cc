@@ -60,6 +60,7 @@ void ExpectIdempotentUnderDuplication(CampaignRunConfig config, int filter,
 
   config.duplicate_copies = copies;
   config.duplicate_filter = filter;
+  config.render_journal = true;
   const CampaignRunResult duplicated = RunOne(config);
   EXPECT_TRUE(duplicated.ok())
       << label << ": idempotence violation under duplication: "

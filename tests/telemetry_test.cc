@@ -155,9 +155,11 @@ TEST(TelemetryCaptureTest, RealRunProfilesAndCovers) {
 TEST(TelemetryCaptureTest, CollectionDoesNotPerturbTheJournal) {
   campaign::CampaignRunConfig plain = SmallRunConfig();
   plain.collect_telemetry = false;
+  plain.render_journal = true;
   campaign::CampaignRunConfig sampled = SmallRunConfig();
   sampled.collect_time_series = true;
   sampled.time_series_interval = Millis(1);
+  sampled.render_journal = true;
   const campaign::CampaignRunResult a = campaign::RunOne(plain);
   const campaign::CampaignRunResult b = campaign::RunOne(sampled);
   EXPECT_EQ(a.fingerprint, b.fingerprint);

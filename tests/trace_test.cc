@@ -7,10 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bitset>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "campaign/fault_plan.h"
+#include "campaign/runner.h"
+#include "common/rng.h"
 #include "core/system.h"
 #include "harness/experiment.h"
 #include "trace/checker.h"
@@ -310,6 +316,120 @@ TEST(TraceExportTest, ChromeTraceIsWellFormedEnvelope) {
   EXPECT_NE(text.find("\"ph\":\"i\""), std::string::npos);
   EXPECT_NE(text.find("\"thread_name\""), std::string::npos);
   EXPECT_EQ(text.substr(text.size() - 3), "]}\n");
+}
+
+// ---------------------------------------------------------------------------
+// Direct journal fingerprint: JsonlFingerprint(e) must equal
+// campaign::Fingerprint(ExportJsonlString(e)) for every journal.
+
+constexpr std::int64_t kInt64Min = std::numeric_limits<std::int64_t>::min();
+constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
+
+/// A signed field: mostly journal-sized values, often an edge of the
+/// number formatting or of the msg/reason name tables, sometimes any bit
+/// pattern. 261 and -1 truncate to mark reasons 5 and 255 ("?"); 258 to 2.
+std::int64_t RandomSigned(Rng& rng) {
+  static constexpr std::int64_t kEdges[] = {
+      kInt64Min, kInt64Max, -1, 0, 4, 5, 6, 7, 255, 256, 258, 261, -256};
+  switch (rng.Uniform(0, 3)) {
+    case 0:
+      return kEdges[rng.Uniform(0, std::size(kEdges) - 1)];
+    case 1:
+      return static_cast<std::int64_t>(rng.Next());
+    default:
+      return rng.Uniform(-10, 2000000);
+  }
+}
+
+TraceEvent RandomEvent(Rng& rng) {
+  TraceEvent event;
+  event.time = RandomSigned(rng);
+  event.type = static_cast<EventType>(
+      rng.Bernoulli(0.8) ? rng.Uniform(0, kNumEventTypes - 1)
+                         : rng.Uniform(kNumEventTypes, 255));
+  switch (rng.Uniform(0, 2)) {
+    case 0:
+      event.site = kInvalidSite;
+      break;
+    case 1:
+      event.site = static_cast<SiteId>(rng.Next());
+      break;
+    default:
+      event.site = static_cast<SiteId>(rng.Uniform(0, 8));
+  }
+  switch (rng.Uniform(0, 3)) {
+    case 0:
+      event.txn = kInvalidTxn;
+      break;
+    case 1:
+      event.txn = std::numeric_limits<TxnId>::max();
+      break;
+    case 2:
+      event.txn = rng.Next();
+      break;
+    default:
+      event.txn = static_cast<TxnId>(rng.Uniform(1, 5000));
+  }
+  event.a = rng.Bernoulli(0.5) ? rng.Uniform(-1, 8) : RandomSigned(rng);
+  event.b = RandomSigned(rng);
+  return event;
+}
+
+TEST(JsonlFingerprintTest, EqualsHashOfRenderedRandomJournals) {
+  EXPECT_EQ(JsonlFingerprint({}), campaign::Fingerprint(""));
+
+  // What the generator reached, so a narrowed generator fails loudly.
+  std::bitset<256> types;
+  bool empty = false, extremes = false, invalid_ids = false;
+  bool unnamed_msg = false, unnamed_reason = false;
+  Rng rng(20260);
+  for (int journal = 0; journal < 20000; ++journal) {
+    std::vector<TraceEvent> events(rng.Uniform(0, 12));
+    for (TraceEvent& event : events) {
+      event = RandomEvent(rng);
+      types.set(static_cast<int>(event.type));
+      for (const std::int64_t field : {event.time, event.a, event.b}) {
+        extremes |= field == kInt64Min || field == kInt64Max;
+      }
+      invalid_ids |= event.site == kInvalidSite && event.txn == kInvalidTxn;
+      unnamed_msg |= event.type == EventType::kMsgRecv &&
+                     (event.a < 0 || event.a > 6);
+      unnamed_reason |= event.type == EventType::kMarkInsert &&
+                        static_cast<std::uint8_t>(event.a) >= kNumMarkReasons;
+    }
+    empty |= events.empty();
+    ASSERT_EQ(JsonlFingerprint(events),
+              campaign::Fingerprint(ExportJsonlString(events)))
+        << "journal " << journal << ":\n"
+        << ExportJsonlString(events);
+  }
+  EXPECT_TRUE(types.all());
+  EXPECT_TRUE(empty);
+  EXPECT_TRUE(extremes);
+  EXPECT_TRUE(invalid_ids);
+  EXPECT_TRUE(unnamed_msg);
+  EXPECT_TRUE(unnamed_reason);
+}
+
+TEST(JsonlFingerprintTest, EqualsHashOfRenderedCampaignJournals) {
+  for (const std::string& name : campaign::DefaultTemplateNames()) {
+    for (const core::CommitProtocol protocol :
+         {core::CommitProtocol::kOptimistic,
+          core::CommitProtocol::kTwoPhaseCommit}) {
+      for (const std::uint64_t seed : {1, 2, 3}) {
+        campaign::CampaignRunConfig config;
+        config.protocol = protocol;
+        config.seed = seed;
+        config.template_name = name;
+        config.plan = campaign::GeneratePlan(name, seed, config.num_sites);
+        config.render_journal = true;
+        const campaign::CampaignRunResult result = campaign::RunOne(config);
+        ASSERT_FALSE(result.journal.empty());
+        EXPECT_EQ(result.fingerprint, campaign::Fingerprint(result.journal))
+            << name << " seed " << seed;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -208,6 +208,7 @@ int Replay(const std::string& path) {
     std::fprintf(stderr, "cannot load artifact: %s\n", error.c_str());
     return 64;
   }
+  config.render_journal = true;  // the journals are byte-compared below
   std::printf("replaying %s (protocol=%s seed=%llu, %zu fault events)\n",
               path.c_str(), ProtocolFlag(config.protocol),
               static_cast<unsigned long long>(config.seed),
