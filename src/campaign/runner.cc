@@ -6,6 +6,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <sstream>
 
@@ -407,6 +408,147 @@ CampaignRunConfig GridConfig(const CampaignOptions& options,
   return config;
 }
 
+/// A finished run waiting for its turn in the fold. Both halves live on
+/// the real heap: the config is built before the run's world is armed and
+/// the result is deep-copied after it is disarmed.
+struct FinishedRun {
+  CampaignRunConfig config;
+  CampaignRunResult result;
+};
+
+/// Folds finished runs into the report strictly in sweep order while the
+/// sweep is still running. Whichever worker delivers the run the fold is
+/// waiting for folds it, then every later run already waiting, and
+/// releases each one as it goes; the other workers only park their run and
+/// claim the next. So the report is built exactly as a serial sweep builds
+/// it, and the runs held at any moment are only those that finished ahead
+/// of an unfinished earlier one.
+class SweepFold {
+ public:
+  SweepFold(const CampaignOptions& options, std::size_t runs, bool verbose,
+            CampaignReport* report)
+      : options_(options),
+        verbose_(verbose),
+        report_(report),
+        start_(std::chrono::steady_clock::now()),
+        waiting_(runs),
+        end_(runs) {}
+
+  /// Whether run `index` should start. A run that finds the wall-clock
+  /// budget spent becomes the cut (the lowest such run wins): it and every
+  /// later run are left out, and runs past it that already started are
+  /// discarded. Every run is asked, and one below the cut was admitted —
+  /// had it found the budget spent, it would be the cut — so the report
+  /// covers an exact prefix of the sweep.
+  bool Admit(std::size_t index) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (index >= end_) return false;
+    if (options_.time_budget_seconds > 0) {
+      const std::chrono::duration<double> elapsed =
+          std::chrono::steady_clock::now() - start_;
+      if (elapsed.count() >= options_.time_budget_seconds) {
+        end_ = index;
+        return false;
+      }
+    }
+    return true;
+  }
+
+  /// Hands over run `index` and, unless another worker is folding, folds
+  /// every run from the fold's position on that has arrived.
+  void Deliver(std::size_t index, std::unique_ptr<FinishedRun> run) {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (index >= end_) return;  // past the cut
+    waiting_[index] = std::move(run);
+    if (folding_) return;  // the active folder will reach it
+    folding_ = true;
+    while (next_ < end_ && waiting_[next_] != nullptr) {
+      const std::size_t ready = next_;
+      std::unique_ptr<FinishedRun> folded = std::move(waiting_[ready]);
+      lock.unlock();
+      Fold(ready, *folded);
+      folded.reset();
+      lock.lock();
+      ++next_;
+    }
+    folding_ = false;
+  }
+
+  /// Called once the batch has drained: every run before the cut has been
+  /// folded.
+  void Finish() {
+    std::lock_guard<std::mutex> lock(mu_);
+    O2PC_CHECK(next_ == end_) << "fold stopped at " << next_ << " of "
+                              << end_;
+    report_->budget_exhausted = end_ < waiting_.size();
+    if (options_.collect_telemetry) {
+      report_->telemetry = accumulator_.Build();
+      report_->telemetry_collected = true;
+    }
+  }
+
+ private:
+  void Fold(std::size_t index, FinishedRun& run) {
+    const CampaignRunConfig& config = run.config;
+    CampaignRunResult& result = run.result;
+    ++report_->runs_completed;
+    report_->total_faults_triggered +=
+        static_cast<std::uint64_t>(result.faults_triggered);
+    report_->fingerprints.push_back(result.fingerprint);
+    const char* protocol_name =
+        config.protocol == core::CommitProtocol::kOptimistic ? "o2pc" : "2pc";
+    if (options_.collect_telemetry) {
+      accumulator_.AddRun(protocol_name, result.telemetry);
+      if (result.telemetry.has_series) {
+        accumulator_.AddSeries(
+            StrCat(protocol_name, " seed=", config.seed,
+                   " template=", config.template_name),
+            std::move(result.telemetry.series));
+      }
+    }
+    if (verbose_) {
+      std::cerr << "[campaign] run " << index << " seed=" << config.seed
+                << " template=" << config.template_name
+                << " protocol=" << protocol_name
+                << " faults=" << result.faults_triggered
+                << (result.ok() ? " ok" : " FAIL") << "\n";
+    }
+    if (result.ok()) return;
+
+    ++report_->runs_failed;
+    CampaignFailure failure;
+    failure.config = config;
+    failure.oracle = std::move(result.oracle);
+    failure.shrunk_plan = config.plan;
+    if (options_.shrink_failures) {
+      failure.shrunk_plan = ShrinkFaultPlan(config).plan;
+    }
+    if (!options_.artifact_dir.empty()) {
+      CampaignRunConfig artifact_config = config;
+      artifact_config.plan = failure.shrunk_plan;
+      failure.artifact_path =
+          WriteArtifact(artifact_config, options_.artifact_dir);
+    }
+    report_->failures.push_back(std::move(failure));
+  }
+
+  const CampaignOptions& options_;
+  const bool verbose_;
+  CampaignReport* const report_;
+  const std::chrono::steady_clock::time_point start_;
+  /// Like *report_, touched only by the one worker folding at a time.
+  telemetry::TelemetryAccumulator accumulator_;
+
+  std::mutex mu_;
+  /// Slot i holds run i from its delivery until it is folded.
+  std::vector<std::unique_ptr<FinishedRun>> waiting_;
+  /// The next run to fold.
+  std::size_t next_ = 0;
+  /// The cut: runs at or past it are left out of the report.
+  std::size_t end_;
+  bool folding_ = false;
+};
+
 }  // namespace
 
 CampaignReport RunCampaign(const CampaignOptions& options, bool verbose) {
@@ -414,111 +556,41 @@ CampaignReport RunCampaign(const CampaignOptions& options, bool verbose) {
   const std::vector<std::string>& templates =
       options.templates.empty() ? DefaultTemplateNames() : options.templates;
   O2PC_CHECK(!options.protocols.empty());
-  const auto start = std::chrono::steady_clock::now();
+  const std::size_t runs = static_cast<std::size_t>(std::max(0, options.runs));
+  SweepFold fold(options, runs, verbose, &report);
 
   exec::RunExecutor executor(options.jobs);
-  telemetry::TelemetryAccumulator accumulator;
-  const int num_protocols = static_cast<int>(options.protocols.size());
-  // Runs execute in waves so the wall-clock budget is honored between
-  // waves; results land in sweep-ordered slots, and **all** aggregation,
-  // reporting, shrinking, and artifact writing happens serially below in
-  // sweep order — the report is byte-identical for every job count (the
-  // budget, when set, is the one wall-clock-dependent cutoff, exactly as
-  // in the serial sweep).
-  const int wave = std::max(1, executor.jobs());
-  for (int wave_start = 0; wave_start < options.runs; wave_start += wave) {
-    if (options.time_budget_seconds > 0) {
-      const std::chrono::duration<double> elapsed =
-          std::chrono::steady_clock::now() - start;
-      if (elapsed.count() >= options.time_budget_seconds) {
-        report.budget_exhausted = true;
-        break;
-      }
+  const std::size_t num_protocols = options.protocols.size();
+  const bool reuse = options.reuse_worlds && exec::WorldPool::Enabled();
+  // One batch over the whole sweep. Each worker recycles its thread-local
+  // world arena per run, and opening a run rewinds that worker's previous
+  // one, so a result must leave its run with no arena-backed storage:
+  // close the scope (disarm — the arena stays readable until the worker's
+  // next open), then copy the result, which re-allocates every string and
+  // vector on the real heap. The fold, shrinking included, runs disarmed.
+  executor.ParallelFor(runs, [&](std::size_t i) {
+    if (!fold.Admit(i)) return;
+    auto run = std::make_unique<FinishedRun>();
+    run->config = GridConfig(options, templates, static_cast<int>(i));
+    if (options.collect_telemetry) {
+      run->config.collect_telemetry = true;
+      run->config.time_series_interval = options.time_series_interval;
+      // Sample a time-series for the first run of each protocol (the
+      // grid's fastest-varying radix): a fixed set of run *indices*, so
+      // the sampled series are identical for every job count.
+      run->config.collect_time_series = i < num_protocols;
     }
-    const int wave_runs = std::min(wave, options.runs - wave_start);
-    std::vector<CampaignRunConfig> configs;
-    configs.reserve(wave_runs);
-    for (int w = 0; w < wave_runs; ++w) {
-      CampaignRunConfig config = GridConfig(options, templates, wave_start + w);
-      if (options.collect_telemetry) {
-        config.collect_telemetry = true;
-        config.time_series_interval = options.time_series_interval;
-        // Sample a time-series for the first run of each protocol (the
-        // grid's fastest-varying radix): a fixed set of run *indices*, so
-        // the sampled series are identical for every job count.
-        config.collect_time_series = wave_start + w < num_protocols;
-      }
-      configs.push_back(std::move(config));
+    if (reuse) {
+      std::optional<exec::WorldPool::ScopedRun> scope(std::in_place);
+      const CampaignRunResult armed = RunOne(run->config);
+      scope.reset();
+      run->result = armed;  // deep copy, off-arena
+    } else {
+      run->result = RunOne(run->config);
     }
-    // Each worker recycles its thread-local world arena per run, and
-    // opening a run rewinds that worker's previous one. A worker executes
-    // many configs per wave, so a result must leave the lambda with no
-    // arena-backed storage: close the scope (disarm — the arena stays
-    // readable until the worker's next open), then copy the result, which
-    // re-allocates every string and vector on the real heap.
-    const bool reuse = options.reuse_worlds && exec::WorldPool::Enabled();
-    const std::vector<CampaignRunResult> results =
-        executor.Map<CampaignRunResult>(configs.size(), [&](std::size_t w) {
-          if (!reuse) return RunOne(configs[w]);
-          std::optional<exec::WorldPool::ScopedRun> scope(std::in_place);
-          const CampaignRunResult armed = RunOne(configs[w]);
-          scope.reset();
-          CampaignRunResult escaped(armed);  // deep copy, off-arena
-          return escaped;
-        });
-
-    for (int w = 0; w < wave_runs; ++w) {
-      const CampaignRunConfig& config = configs[w];
-      const CampaignRunResult& result = results[w];
-      ++report.runs_completed;
-      report.total_faults_triggered +=
-          static_cast<std::uint64_t>(result.faults_triggered);
-      report.fingerprints.push_back(result.fingerprint);
-      if (options.collect_telemetry) {
-        const char* protocol_name =
-            config.protocol == core::CommitProtocol::kOptimistic ? "o2pc"
-                                                                 : "2pc";
-        accumulator.AddRun(protocol_name, result.telemetry);
-        if (result.telemetry.has_series) {
-          accumulator.AddSeries(
-              StrCat(protocol_name, " seed=", config.seed,
-                     " template=", config.template_name),
-              result.telemetry.series);
-        }
-      }
-      if (verbose) {
-        std::cerr << "[campaign] run " << wave_start + w
-                  << " seed=" << config.seed
-                  << " template=" << config.template_name << " protocol="
-                  << (config.protocol == core::CommitProtocol::kOptimistic
-                          ? "o2pc"
-                          : "2pc")
-                  << " faults=" << result.faults_triggered
-                  << (result.ok() ? " ok" : " FAIL") << "\n";
-      }
-      if (result.ok()) continue;
-
-      ++report.runs_failed;
-      CampaignFailure failure;
-      failure.config = config;
-      failure.oracle = result.oracle;
-      failure.shrunk_plan = config.plan;
-      if (options.shrink_failures) {
-        failure.shrunk_plan = ShrinkFaultPlan(config).plan;
-      }
-      if (!options.artifact_dir.empty()) {
-        CampaignRunConfig artifact_config = config;
-        artifact_config.plan = failure.shrunk_plan;
-        failure.artifact_path =
-            WriteArtifact(artifact_config, options.artifact_dir);
-      }
-      report.failures.push_back(std::move(failure));
-    }
-  }
-  if (options.collect_telemetry) {
-    report.telemetry = accumulator.Build();
-    report.telemetry_collected = true;
-  }
+    fold.Deliver(i, std::move(run));
+  });
+  fold.Finish();
   return report;
 }
 

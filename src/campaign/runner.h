@@ -115,14 +115,15 @@ struct CampaignOptions {
       core::CommitProtocol::kOptimistic,
       core::CommitProtocol::kTwoPhaseCommit,
   };
-  /// Wall-clock budget in seconds (0 = unlimited); the sweep stops early —
-  /// reporting how many runs it covered — when exceeded.
+  /// Wall-clock budget in seconds (0 = unlimited), checked before each run
+  /// starts; once exceeded the sweep stops early, reporting how many runs
+  /// it covered. The runs covered are always an exact prefix of the sweep.
   double time_budget_seconds = 0.0;
   /// Worker threads for the sweep (exec::RunExecutor). 1 = serial; N fans
   /// independent runs across N workers; <= 0 = one per hardware thread.
   /// Artifacts, fingerprints, failure ordering, and shrinking are
-  /// byte-identical for every value — results are collected into
-  /// sweep-ordered slots before any aggregation or reporting.
+  /// byte-identical for every value — results are folded into the report
+  /// strictly in sweep order.
   int jobs = 1;
   /// Directory for failure artifacts (empty = don't write).
   std::string artifact_dir;
@@ -184,7 +185,8 @@ struct CampaignReport {
   std::uint64_t CombinedFingerprint() const;
 };
 
-/// Runs the sweep. Progress lines go to stderr when `verbose`.
+/// Runs the sweep. Progress lines go to stderr when `verbose`, one per run
+/// in sweep order as the sweep goes.
 CampaignReport RunCampaign(const CampaignOptions& options,
                            bool verbose = false);
 

@@ -24,9 +24,9 @@
 ///
 /// Ownership discipline (the reset contract):
 ///  * Everything allocated while armed dies, at the latest, when the owning
-///    worker next rewinds. Run results may be *read* by the coordinator
-///    thread until then (the campaign's wave barrier guarantees the order);
-///    anything that must outlive the wave is deep-copied while disarmed.
+///    worker next rewinds. Run results may be *read* until then; anything
+///    that must outlive the worker's next run (every campaign result, which
+///    waits for the in-order fold) is deep-copied while disarmed.
 ///  * State that genuinely persists across runs on a worker thread — the
 ///    payload pool's freelists, the arena lease itself — must bypass the
 ///    arena (raw malloc), or it would dangle after a rewind.

@@ -1,7 +1,5 @@
 #include "exec/run_executor.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 
 namespace o2pc::exec {
@@ -17,8 +15,8 @@ unsigned RunExecutor::DetectedHardwareConcurrency() {
 
 RunExecutor::RunExecutor(int jobs) {
   jobs_ = jobs <= 0 ? HardwareJobs() : jobs;
-  // Worker thread i (0-based) owns chunk i + 1; the calling thread owns
-  // chunk 0. jobs_ == 1 stays threadless.
+  // The calling thread works every batch too, so jobs_ == 1 stays
+  // threadless.
   threads_.reserve(static_cast<std::size_t>(jobs_ - 1));
   for (int i = 1; i < jobs_; ++i) {
     threads_.emplace_back([this] { WorkerLoop(); });
@@ -38,7 +36,6 @@ void RunExecutor::WorkerLoop() {
   std::uint64_t seen_generation = 0;
   for (;;) {
     Batch* batch = nullptr;
-    std::size_t home_chunk = 0;
     {
       std::unique_lock<std::mutex> lock(mu_);
       work_cv_.wait(lock, [&] {
@@ -48,18 +45,9 @@ void RunExecutor::WorkerLoop() {
       if (shutdown_) return;
       seen_generation = generation_;
       batch = current_;
-      // Home chunk = this worker's slot. Identify by position in threads_;
-      // cheaper: assign on wake in arrival order. Arrival order is
-      // scheduling-dependent, which is fine — chunk ownership affects only
-      // execution placement, never results.
-      home_chunk = static_cast<std::size_t>(++batch->active_workers);
-      if (home_chunk >= batch->chunks.size()) {
-        // More workers woke than this batch has chunks; nothing owned,
-        // pure thief.
-        home_chunk = batch->chunks.size() - 1;
-      }
+      ++batch->active_workers;
     }
-    WorkOn(batch, home_chunk);
+    WorkOn(batch);
     {
       std::lock_guard<std::mutex> lock(mu_);
       --batch->active_workers;
@@ -80,22 +68,6 @@ void RunExecutor::ParallelFor(
   Batch batch;
   batch.body = &body;
   batch.total = n;
-  const std::size_t num_chunks =
-      std::min<std::size_t>(static_cast<std::size_t>(jobs_), n);
-  batch.chunks.reserve(num_chunks);
-  // Contiguous split; remainder spread one-each over the leading chunks.
-  const std::size_t base = n / num_chunks;
-  const std::size_t extra = n % num_chunks;
-  std::size_t start = 0;
-  for (std::size_t c = 0; c < num_chunks; ++c) {
-    auto chunk = std::make_unique<Chunk>();
-    chunk->next = start;
-    start += base + (c < extra ? 1 : 0);
-    chunk->end = start;
-    batch.chunks.push_back(std::move(chunk));
-  }
-  O2PC_CHECK(start == n);
-
   {
     std::lock_guard<std::mutex> lock(mu_);
     O2PC_CHECK(current_ == nullptr) << "ParallelFor is not reentrant";
@@ -104,15 +76,13 @@ void RunExecutor::ParallelFor(
   }
   work_cv_.notify_all();
 
-  // The caller works the batch too, owning chunk 0.
-  WorkOn(&batch, 0);
+  WorkOn(&batch);
 
+  // The cursor is past the end, so every claimed index belongs to a worker
+  // still counted in active_workers; once none is left the batch is done.
   {
     std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [&] {
-      return batch.done.load(std::memory_order_acquire) == batch.total &&
-             batch.active_workers == 0;
-    });
+    done_cv_.wait(lock, [&] { return batch.active_workers == 0; });
     current_ = nullptr;
   }
 
@@ -121,92 +91,22 @@ void RunExecutor::ParallelFor(
   }
 }
 
-void RunExecutor::WorkOn(Batch* batch, std::size_t home_chunk) {
-  std::size_t index;
-  while (ClaimIndex(batch, home_chunk, &index)) {
-    RunIndex(batch, index);
-  }
-}
-
-bool RunExecutor::ClaimIndex(Batch* batch, std::size_t home_chunk,
-                             std::size_t* index) {
-  if (batch->cancelled.load(std::memory_order_acquire)) return false;
-  // Own chunk first, front-to-back.
-  {
-    Chunk& own = *batch->chunks[home_chunk];
-    std::lock_guard<std::mutex> lock(own.mu);
-    if (own.next < own.end) {
-      *index = own.next++;
-      return true;
-    }
-  }
-  // Steal one index from the back of the fullest other chunk.
+void RunExecutor::WorkOn(Batch* batch) {
   for (;;) {
-    std::size_t victim = batch->chunks.size();
-    std::size_t victim_size = 0;
-    for (std::size_t c = 0; c < batch->chunks.size(); ++c) {
-      if (c == home_chunk) continue;
-      Chunk& chunk = *batch->chunks[c];
-      std::lock_guard<std::mutex> lock(chunk.mu);
-      const std::size_t size = chunk.end - chunk.next;
-      if (size > victim_size) {
-        victim = c;
-        victim_size = size;
-      }
-    }
-    if (victim == batch->chunks.size()) return false;  // everything drained
-    Chunk& chunk = *batch->chunks[victim];
-    std::lock_guard<std::mutex> lock(chunk.mu);
-    if (chunk.next < chunk.end) {
-      *index = --chunk.end;
-      steals_.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-    // Lost the race to the victim's owner; rescan.
-  }
-}
-
-void RunExecutor::RunIndex(Batch* batch, std::size_t index) {
-  try {
-    (*batch->body)(index);
-  } catch (...) {
-    {
+    const std::size_t index =
+        batch->next.fetch_add(1, std::memory_order_relaxed);
+    if (index >= batch->total) return;
+    try {
+      (*batch->body)(index);
+    } catch (...) {
       std::lock_guard<std::mutex> lock(batch->error_mu);
       if (!batch->error || index < batch->error_index) {
         batch->error = std::current_exception();
         batch->error_index = index;
       }
+      batch->next.store(batch->total, std::memory_order_relaxed);
     }
-    batch->cancelled.store(true, std::memory_order_release);
-    CancelRemaining(batch);
   }
-  if (batch->done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-      batch->total) {
-    NotifyDrained();
-  }
-}
-
-void RunExecutor::CancelRemaining(Batch* batch) {
-  std::size_t skipped = 0;
-  for (const auto& chunk : batch->chunks) {
-    std::lock_guard<std::mutex> lock(chunk->mu);
-    skipped += chunk->end - chunk->next;
-    chunk->next = chunk->end;
-  }
-  if (skipped > 0 &&
-      batch->done.fetch_add(skipped, std::memory_order_acq_rel) + skipped ==
-          batch->total) {
-    NotifyDrained();
-  }
-}
-
-void RunExecutor::NotifyDrained() {
-  // Taking mu_ (even though `done` is atomic) serializes against the
-  // caller's predicate evaluation in ParallelFor: without it the final
-  // increment could land between the caller's predicate check and its
-  // wait(), and the notification would be lost.
-  { std::lock_guard<std::mutex> lock(mu_); }
-  done_cv_.notify_all();
 }
 
 }  // namespace o2pc::exec

@@ -7,13 +7,12 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 /// \file
-/// Work-stealing thread-pool executor for independent simulation runs.
+/// Self-scheduling thread-pool executor for independent simulation runs.
 ///
 /// Campaign runs, bench repetitions, and soak iterations are embarrassingly
 /// parallel: each run is a self-contained seeded `Simulator` with its own
@@ -24,15 +23,15 @@
 /// for every thread count. Determinism is the contract: the executor decides
 /// only *when and where* a run executes, never *what* it computes.
 ///
-/// Scheduling: each ParallelFor splits the index range into one contiguous
-/// chunk per worker; a worker drains its own chunk from the front and, when
-/// empty, steals from the back of the fullest remaining chunk. Chunks are
-/// tiny mutex-guarded ranges — runs are milliseconds each, so contention is
-/// negligible and the implementation stays ThreadSanitizer-clean.
+/// Scheduling: one atomic cursor per batch. A free worker claims the next
+/// index with a single `fetch_add`, so a slow run delays only its own
+/// worker, and the indices claimed so far are always a prefix of the batch:
+/// the runs in flight are the earliest unfinished ones, which keeps
+/// RunCampaign's in-order fold short.
 ///
-/// An exception thrown by a task cancels the rest of the batch and is
-/// rethrown (the lowest-index failure wins) from ParallelFor on the calling
-/// thread.
+/// An exception thrown by a task cancels the rest of the batch (no further
+/// index is claimed; claimed ones finish) and is rethrown (the lowest-index
+/// failure wins) from ParallelFor on the calling thread.
 
 namespace o2pc::exec {
 
@@ -57,8 +56,9 @@ class RunExecutor {
   static unsigned DetectedHardwareConcurrency();
 
   /// Runs `body(i)` exactly once for every i in [0, n), fanned across the
-  /// pool; the calling thread participates. Blocks until the batch drains.
-  /// Not reentrant and single-caller: one batch at a time.
+  /// pool; the calling thread participates. Indices are claimed in
+  /// increasing order. Blocks until the batch drains. Not reentrant and
+  /// single-caller: one batch at a time.
   void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& body);
 
   /// ParallelFor that collects `fn(i)` into slot i of the returned vector —
@@ -70,58 +70,35 @@ class RunExecutor {
     return out;
   }
 
-  /// Number of cross-chunk steals since construction (observability; tests
-  /// use it to verify stealing actually engages on unbalanced batches).
-  std::uint64_t steals() const {
-    return steals_.load(std::memory_order_relaxed);
-  }
-
  private:
-  /// One worker's contiguous slice of the batch's index range. The owner
-  /// takes from the front (preserving per-worker index order); thieves take
-  /// from the back (minimizing interference with the owner's locality).
-  struct Chunk {
-    std::mutex mu;
-    std::size_t next = 0;
-    std::size_t end = 0;
-  };
-
   /// One ParallelFor invocation in flight.
   struct Batch {
     const std::function<void(std::size_t)>* body = nullptr;
-    std::vector<std::unique_ptr<Chunk>> chunks;
-    /// Indices finished or cancelled; the batch drains at `total`.
-    std::atomic<std::size_t> done{0};
     std::size_t total = 0;
+    /// The next unclaimed index; at or past `total` the batch is drained
+    /// (an error moves it there to cancel the rest).
+    std::atomic<std::size_t> next{0};
     /// Workers currently inside WorkOn (batch memory must outlive them).
     int active_workers = 0;
 
     std::mutex error_mu;
     std::exception_ptr error;
     std::size_t error_index = 0;
-    std::atomic<bool> cancelled{false};
   };
 
   void WorkerLoop();
-  void WorkOn(Batch* batch, std::size_t home_chunk);
-  /// Claims one index: own chunk front first, then steals. False = drained.
-  bool ClaimIndex(Batch* batch, std::size_t home_chunk, std::size_t* index);
-  void RunIndex(Batch* batch, std::size_t index);
-  /// Marks every unclaimed index done so the batch can drain after an error.
-  void CancelRemaining(Batch* batch);
-  /// Wakes the batch-owning caller, serialized against its predicate check.
-  void NotifyDrained();
+  /// Claims and runs indices until the cursor passes the end.
+  static void WorkOn(Batch* batch);
 
   int jobs_ = 1;
   std::vector<std::thread> threads_;
 
   std::mutex mu_;
   std::condition_variable work_cv_;   // workers: a batch arrived / shutdown
-  std::condition_variable done_cv_;   // caller: batch drained + workers out
+  std::condition_variable done_cv_;   // caller: every worker left the batch
   Batch* current_ = nullptr;
   std::uint64_t generation_ = 0;
   bool shutdown_ = false;
-  std::atomic<std::uint64_t> steals_{0};
 };
 
 }  // namespace o2pc::exec

@@ -19,10 +19,10 @@
 ///
 /// The reset contract: a worker's run results remain readable after the
 /// scope ends, *until the same worker opens its next ScopedRun* (the
-/// rewind happens at open, not at close). The campaign's wave barrier —
-/// Map() returns, the coordinator consumes every slot, only then does the
-/// next wave start — is exactly this contract. Anything kept beyond a wave
-/// (failure artifacts, telemetry folds) is deep-copied while disarmed.
+/// rewind happens at open, not at close). The campaign keeps its results
+/// past that point — a finished run waits for the in-order fold while its
+/// worker starts the next one — so each worker deep-copies its result
+/// while disarmed, right after closing the scope.
 ///
 /// Worlds recycled this way are byte-identical to freshly constructed
 /// ones: arming changes where memory comes from, never what runs compute.

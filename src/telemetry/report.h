@@ -20,8 +20,8 @@
 ///
 /// Determinism contract: every field of SweepTelemetry is a pure function
 /// of the per-run journals and the sweep order. The accumulator is fed in
-/// run-index order by a serial loop (RunExecutor collects into
-/// index-ordered slots first), all floats are derived from integral
+/// run-index order by the campaign's in-order fold (one run at a time,
+/// whichever worker runs it), all floats are derived from integral
 /// microsecond samples and formatted through one fixed-precision helper,
 /// and no wall-clock value is ever included — so the emitted JSON (and
 /// the coverage fingerprint inside it) is byte-identical for every

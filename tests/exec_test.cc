@@ -1,20 +1,24 @@
 // The parallel run executor and its determinism contract.
 //
 // Unit half: RunExecutor scheduling — index-ordered Map slots, every index
-// exactly once, empty batches, more jobs than work, work stealing actually
-// engaging on unbalanced batches, and exception propagation from a worker.
+// exactly once, empty batches, more jobs than work, a slow index not
+// holding back the rest, a cancelled batch having run a prefix, and
+// exception propagation from a worker.
 //
 // Determinism half: the same campaign / experiment matrix executed at
-// --jobs 1, 2, and 8 must produce byte-identical artifacts — journal
-// fingerprints, per-run ToJson() bytes, merged stats, and exported trace
-// JSONL. This is the acceptance test for the whole parallel subsystem: the
-// executor may change *when and where* a run executes, never *what* it
-// computes.
+// --jobs 1, 2, 4, and 8 must produce byte-identical artifacts — journal
+// fingerprints, failure reports, --verbose lines, per-run ToJson() bytes,
+// merged stats, and exported trace JSONL — and a time budget may only
+// shorten the campaign's prefix of runs. This is the acceptance test for
+// the whole parallel subsystem: the executor may change *when and where* a
+// run executes, never *what* it computes.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <iostream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -79,24 +83,55 @@ TEST(RunExecutorTest, SerialExecutorRunsInIndexOrderInline) {
   executor.ParallelFor(10, [&](std::size_t i) { order.push_back(i); });
   ASSERT_EQ(order.size(), 10u);
   for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
-  EXPECT_EQ(executor.steals(), 0u);
 }
 
-TEST(RunExecutorTest, StealingEngagesOnUnbalancedBatches) {
-  // Two chunks: the caller's chunk is slow (1ms per task), the worker's is
-  // instant — the worker must drain its own half and steal from the back of
-  // the caller's.
+TEST(RunExecutorTest, SlowIndexDoesNotHoldBackTheRest) {
+  // Index 0 keeps its thread busy for 200 ms; the other thread must run
+  // every remaining index meanwhile instead of idling behind it.
   exec::RunExecutor executor(2);
   constexpr std::size_t kN = 40;
   std::vector<std::atomic<int>> hits(kN);
+  std::vector<std::thread::id> ran_on(kN);
   executor.ParallelFor(kN, [&](std::size_t i) {
     hits[i].fetch_add(1, std::memory_order_relaxed);
-    if (i < kN / 2) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
+    ran_on[i] = std::this_thread::get_id();
+    if (i == 0) std::this_thread::sleep_for(std::chrono::milliseconds(200));
   });
-  for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1);
-  EXPECT_GT(executor.steals(), 0u);
+  for (std::size_t i = 0; i < kN; ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+    if (i > 0) {
+      EXPECT_NE(ran_on[i], ran_on[0]) << "index " << i;
+    }
+  }
+}
+
+TEST(RunExecutorTest, CancelledBatchRanAPrefix) {
+  // Indices are claimed in order and every claimed index runs, so a batch
+  // cancelled by a throw at k has run all of [0, k) exactly once: what a
+  // cancellation cuts short is always a suffix.
+  exec::RunExecutor executor(4);
+  constexpr std::size_t kN = 200;
+  for (const std::size_t k : {std::size_t{0}, std::size_t{1}, std::size_t{13},
+                              std::size_t{50}, std::size_t{150}, kN - 1}) {
+    std::vector<std::atomic<int>> hits(kN);
+    EXPECT_THROW(executor.ParallelFor(
+                     kN,
+                     [&](std::size_t i) {
+                       hits[i].fetch_add(1, std::memory_order_relaxed);
+                       if (i == k) throw std::runtime_error("cancel");
+                       std::this_thread::sleep_for(
+                           std::chrono::microseconds(100));
+                     }),
+                 std::runtime_error)
+        << "k=" << k;
+    for (std::size_t i = 0; i < kN; ++i) {
+      if (i <= k) {
+        EXPECT_EQ(hits[i].load(), 1) << "k=" << k << " index " << i;
+      } else {
+        EXPECT_LE(hits[i].load(), 1) << "k=" << k << " index " << i;
+      }
+    }
+  }
 }
 
 TEST(RunExecutorTest, WorkerExceptionPropagatesToCaller) {
@@ -163,7 +198,7 @@ TEST(ParallelDeterminismTest, CampaignFingerprintsIdenticalAcrossJobCounts) {
   ASSERT_EQ(serial.runs_completed, 12);
   ASSERT_EQ(serial.fingerprints.size(), 12u);
 
-  for (int jobs : {2, 8}) {
+  for (int jobs : {2, 4, 8}) {
     const campaign::CampaignReport parallel =
         campaign::RunCampaign(SmallCampaign(jobs));
     EXPECT_EQ(parallel.runs_completed, serial.runs_completed) << jobs;
@@ -174,6 +209,110 @@ TEST(ParallelDeterminismTest, CampaignFingerprintsIdenticalAcrossJobCounts) {
     EXPECT_EQ(parallel.fingerprints, serial.fingerprints) << jobs;
     EXPECT_EQ(parallel.CombinedFingerprint(), serial.CombinedFingerprint())
         << jobs;
+  }
+}
+
+TEST(ParallelDeterminismTest, VerboseLinesIdenticalAcrossJobCounts) {
+  // The campaign prints its per-run lines from the in-order fold, on
+  // whichever worker folds: one line per run, in sweep order.
+  auto verbose_output = [](int jobs) {
+    struct CerrCapture {
+      std::ostringstream out;
+      std::streambuf* saved = std::cerr.rdbuf(out.rdbuf());
+      ~CerrCapture() { std::cerr.rdbuf(saved); }
+    } capture;
+    campaign::RunCampaign(SmallCampaign(jobs), /*verbose=*/true);
+    return capture.out.str();
+  };
+  const std::string serial = verbose_output(1);
+  EXPECT_EQ(serial.rfind("[campaign] run 0 ", 0), 0u) << serial;
+  EXPECT_NE(serial.find("\n[campaign] run 11 "), std::string::npos) << serial;
+  for (int jobs : {4, 8}) EXPECT_EQ(verbose_output(jobs), serial) << jobs;
+}
+
+TEST(ParallelDeterminismTest, FailureReportsIdenticalAcrossJobCounts) {
+  // One cycle of every template under both protocols at base seed 29, with
+  // shrinking on: the failure path (fold, shrink, report) must not depend
+  // on the job count. The O2PC `partitions` run is an open oracle failure
+  // (`sg: regular cycle: T27 -> CT23 -> T42 -> T27`, shrunk to 2 events).
+  // Once that is fixed, re-point base_seed at another open failure seed
+  // (ROADMAP lists them) so this test keeps a failure to compare.
+  auto sweep = [](int jobs) {
+    campaign::CampaignOptions options;
+    options.runs = 28;
+    options.base_seed = 29;
+    options.jobs = jobs;
+    return campaign::RunCampaign(options);
+  };
+  const campaign::CampaignReport serial = sweep(1);
+  ASSERT_EQ(serial.runs_completed, 28);
+  ASSERT_GE(serial.runs_failed, 1);
+  ASSERT_EQ(serial.failures.size(),
+            static_cast<std::size_t>(serial.runs_failed));
+  const bool seed29_partitions_fails = std::any_of(
+      serial.failures.begin(), serial.failures.end(),
+      [](const campaign::CampaignFailure& failure) {
+        return failure.config.seed == 29 &&
+               failure.config.template_name == "partitions" &&
+               failure.config.protocol == core::CommitProtocol::kOptimistic;
+      });
+  EXPECT_TRUE(seed29_partitions_fails);
+
+  for (int jobs : {2, 4, 8}) {
+    const campaign::CampaignReport parallel = sweep(jobs);
+    EXPECT_EQ(parallel.runs_completed, serial.runs_completed) << jobs;
+    EXPECT_EQ(parallel.fingerprints, serial.fingerprints) << jobs;
+    EXPECT_EQ(parallel.runs_failed, serial.runs_failed) << jobs;
+    ASSERT_EQ(parallel.failures.size(), serial.failures.size()) << jobs;
+    for (std::size_t f = 0; f < serial.failures.size(); ++f) {
+      const campaign::CampaignFailure& want = serial.failures[f];
+      const campaign::CampaignFailure& got = parallel.failures[f];
+      EXPECT_EQ(got.config.seed, want.config.seed) << jobs;
+      EXPECT_EQ(got.config.template_name, want.config.template_name) << jobs;
+      EXPECT_EQ(got.config.protocol, want.config.protocol) << jobs;
+      EXPECT_EQ(got.oracle.violations, want.oracle.violations) << jobs;
+      EXPECT_EQ(got.shrunk_plan.ToString(), want.shrunk_plan.ToString())
+          << jobs;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The wall-clock budget: the one input that depends on timing. It may only
+// decide how long a prefix of the sweep is reported.
+
+TEST(CampaignBudgetTest, SpentBudgetCompletesNoRuns) {
+  for (int jobs : {1, 4}) {
+    campaign::CampaignOptions options = SmallCampaign(jobs);
+    options.time_budget_seconds = 1e-9;
+    const campaign::CampaignReport report = campaign::RunCampaign(options);
+    EXPECT_EQ(report.runs_completed, 0) << jobs;
+    EXPECT_TRUE(report.budget_exhausted) << jobs;
+    EXPECT_TRUE(report.fingerprints.empty()) << jobs;
+  }
+}
+
+TEST(CampaignBudgetTest, BudgetCutsAPrefixOfTheUnbudgetedSweep) {
+  campaign::CampaignOptions options = SmallCampaign(4);
+  options.runs = 200;
+  const campaign::CampaignReport full = campaign::RunCampaign(options);
+  ASSERT_EQ(full.runs_completed, 200);
+  ASSERT_FALSE(full.budget_exhausted);
+
+  for (int jobs : {1, 4}) {
+    options.jobs = jobs;
+    options.time_budget_seconds = 0.03;
+    const campaign::CampaignReport cut = campaign::RunCampaign(options);
+    // How many runs fit is up to the host; what they are is not.
+    EXPECT_EQ(cut.budget_exhausted, cut.runs_completed < options.runs)
+        << jobs;
+    ASSERT_EQ(cut.fingerprints.size(),
+              static_cast<std::size_t>(cut.runs_completed))
+        << jobs;
+    const std::vector<std::uint64_t> prefix(
+        full.fingerprints.begin(),
+        full.fingerprints.begin() + cut.runs_completed);
+    EXPECT_EQ(cut.fingerprints, prefix) << jobs;
   }
 }
 
